@@ -180,7 +180,6 @@ func (s *Site) commitFastPath(st *txnState) {
 		s.obs.ObserveSince(s.stats.CommitLatency, st.handle.submittedWall)
 		st.handle.finish(Result{Committed: true, Retries: st.retries, VT: st.vt})
 	}
-	s.gcTxnObjects(st)
 }
 
 // handleFastWrite applies a remote fast-path transaction: the updates are
@@ -217,7 +216,6 @@ func (s *Site) handleFastWrite(from vtime.SiteID, m wire.FastWrite) {
 	s.resolveRC(m.TxnVT, true)
 	s.demoteGuessesFor(st.appliedObjects(), m.TxnVT)
 	s.trace(obs.EvCommit, m.TxnVT, m.Origin, "fastpath")
-	s.gcTxnObjects(st)
 }
 
 // demoteGuessesFor finds open RL reservations on the given objects whose

@@ -787,6 +787,7 @@ func (s *Site) installRepairedGraphs(v wire.RepairValue) {
 		repaired.RemoveSiteContract(v.FailedSite)
 		repaired = repaired.Component(o.id)
 		if err := o.graphHist.Insert(v.GraphVT, repaired, history.Committed); err == nil {
+			s.tallyGraph(o.graph, repaired)
 			o.graph = repaired
 			o.graphVT = v.GraphVT
 			s.log.Debug("repair installed", "obj", o.id.String(), "graph", repaired.String())

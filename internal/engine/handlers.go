@@ -18,7 +18,7 @@ func (s *Site) ensureTxn(vt vtime.VT, origin vtime.SiteID) *txnState {
 		return st
 	}
 	st := &txnState{vt: vt, origin: origin, status: txnApplied}
-	s.txns[vt] = st
+	s.addTxn(st)
 	return st
 }
 
@@ -153,7 +153,6 @@ func (s *Site) decideAsDelegate(st *txnState, m wire.Write, ok bool) {
 		}
 		s.resolveRC(m.TxnVT, true)
 		s.onLocalCommit(st.appliedObjects(), m.TxnVT)
-		s.gcTxnObjects(st)
 		return
 	}
 	objs := st.appliedObjects()
@@ -402,7 +401,6 @@ func (s *Site) handleOutcome(m wire.Outcome) {
 			s.onLocalCommit(st.appliedObjects(), m.TxnVT)
 			s.obs.ObserveSince(s.stats.RemoteCommitLatency, st.appliedWall)
 			s.trace(obs.EvCommit, m.TxnVT, st.origin, "remote")
-			s.gcTxnObjects(st)
 			if st.hasGraphOp {
 				s.unparkRetries()
 				s.afterGraphCommit(st)
@@ -438,7 +436,6 @@ func (s *Site) handleOutcome(m wire.Outcome) {
 				s.obs.ObserveSince(s.stats.CommitLatency, st.handle.submittedWall)
 				st.handle.finish(Result{Committed: true, Retries: st.retries, VT: st.vt})
 			}
-			s.gcTxnObjects(st)
 		} else {
 			// Delegate denied: undo and retry. The delegate has already
 			// informed the other involved sites.
@@ -471,14 +468,6 @@ func (s *Site) handleOutcome(m wire.Outcome) {
 		}
 	default:
 		// Already decided locally; nothing to do.
-	}
-}
-
-// gcTxnObjects prunes histories of the objects a committed transaction
-// touched.
-func (s *Site) gcTxnObjects(st *txnState) {
-	for _, o := range st.appliedObjects() {
-		s.maybeGC(o)
 	}
 }
 
@@ -797,7 +786,15 @@ func (s *Site) drainPending(root *object) {
 			if known, ok := s.outcomes[p.txnVT]; ok && known {
 				status = history.Committed
 			}
-			s.applyOp(st, root, p.upd.Path, p.upd.Op, status)
+			if !s.applyOp(st, root, p.upd.Path, p.upd.Op, status) {
+				// The path resolves but the op's own dependency — a list
+				// insert's After element — is still missing: keep it
+				// queued rather than drop it. Found by the nightly
+				// simulation sweep: profile offline, seed 1029 lost a
+				// committed list insert at the reconnected site.
+				root.pending = append(root.pending, p)
+				continue
+			}
 			s.scheduleOptimistic([]*object{root})
 			if status == history.Committed {
 				s.onLocalCommit(st.appliedObjects(), p.txnVT)

@@ -57,3 +57,29 @@ func (st Stats) NotifyIdentityViolations() []string {
 	}
 	return nil
 }
+
+// StateSizes are the sizes of the per-site tables garbage collection
+// keeps bounded: the largest value history (versions), the largest
+// value or graph reservation table of any object, and the transaction
+// table.
+type StateSizes struct {
+	MaxVersions     int
+	MaxReservations int
+	Txns            int
+}
+
+// StateSizes reports the site's table sizes (zero for a stopped site).
+// After a quiescent run they must stay below a small bound that does not
+// grow with the run's length (DESIGN.md §15).
+func (s *Site) StateSizes() StateSizes {
+	var sz StateSizes
+	_ = s.call(func() {
+		sz.Txns = len(s.txns)
+		for _, id := range sortedObjectIDs(s.objects) {
+			o := s.objects[id]
+			sz.MaxVersions = max(sz.MaxVersions, o.hist.Len(), o.graphHist.Len())
+			sz.MaxReservations = max(sz.MaxReservations, o.res.Len(), o.graphRes.Len())
+		}
+	})
+	return sz
+}

@@ -93,6 +93,8 @@ type object struct {
 
 	// proxies are the view proxies attached locally to this object.
 	proxies []*viewProxy
+	// gcQueued marks membership in the site's GC backlog.
+	gcQueued bool
 
 	// Composite linkage.
 	parent     *object
@@ -232,6 +234,7 @@ func (o *object) refreshGraph() {
 		return
 	}
 	if g, okG := cur.Value.(*repgraph.Graph); okG {
+		o.site.tallyGraph(o.graph, g)
 		o.graph = g
 		o.graphVT = cur.VT
 	}

@@ -383,3 +383,53 @@ func TestRepairCounterInvariants(t *testing.T) {
 		t.Error("no survivor spent a repair ballot; the consensus path never ran")
 	}
 }
+
+// TestGCFloorObservability checks the state an operator reads to answer
+// "why is this site's state growing": the engine debug source exports
+// the combined GC floor, the floor each graph peer advertised, and the
+// lag of the floor behind the clock, and /metrics carries the lag as
+// decaf_engine_gc_floor_lag. After a quiet run every peer has advertised
+// a floor and the lag is small.
+func TestGCFloorObservability(t *testing.T) {
+	h, observers := newObsHarness(t, 2, transport.Config{}, Options{})
+	refs := h.joined(KindInt, "x", int64(0), 1, 2)
+	for k := 1; k <= 20; k++ {
+		if res := h.setInt(1+k%2, refs[1+k%2], int64(k)); !res.Committed {
+			t.Fatalf("write %d: %+v", k, res)
+		}
+	}
+	h.eventually(3*time.Second, "floors exchanged", func() bool {
+		for _, i := range []int{1, 2} {
+			eng, ok := observers[i].State()["engine"].(map[string]any)
+			if !ok {
+				return false
+			}
+			peers, _ := eng["peer_floors"].(map[string]string)
+			if f := peers[vtime.SiteID(3-i).String()]; f == "" || f == "0" {
+				return false
+			}
+		}
+		return true
+	})
+	for _, i := range []int{1, 2} {
+		eng := observers[i].State()["engine"].(map[string]any)
+		floor, ok := eng["gc_floor"].(string)
+		if !ok || floor == "" || floor == "0" {
+			t.Errorf("site %d: gc_floor = %v, want a non-zero VT", i, eng["gc_floor"])
+		}
+		lag, ok := eng["gc_floor_lag"].(uint64)
+		if !ok {
+			t.Fatalf("site %d: gc_floor_lag = %T %v, want uint64", i, eng["gc_floor_lag"], eng["gc_floor_lag"])
+		}
+		if lag > 8 {
+			t.Errorf("site %d: GC floor lags the clock by %d ticks after a quiet run", i, lag)
+		}
+		g, ok := observers[i].Metrics().Value("decaf_engine_gc_floor_lag")
+		if !ok {
+			t.Fatalf("site %d: decaf_engine_gc_floor_lag not registered", i)
+		}
+		if g < 0 {
+			t.Errorf("site %d: decaf_engine_gc_floor_lag = %v", i, g)
+		}
+	}
+}

@@ -310,6 +310,7 @@ func (s *Site) restoreObject(oc wire.CheckpointObject) {
 	if len(oc.Graph.Nodes) > 0 {
 		o.graph = repgraph.FromWire(oc.Graph)
 		o.graphVT = oc.GraphVT
+		s.tallyGraph(nil, o.graph)
 	} else {
 		o.graph = repgraph.NewGraph(o.id, s.id)
 	}

@@ -113,6 +113,15 @@ func (s *Site) stageWrite(from vtime.SiteID, m wire.Write) bool {
 		// txnState across workers; land the first run before staging.
 		s.flushWrites()
 	}
+	if _, decided := s.outcomes[m.TxnVT]; decided && m.NeedsConfirm {
+		// A confirm request of a decided transaction — its origin
+		// resubmitting after anti-entropy because the decision was lost
+		// in a partition. Only the serial path answers it from the
+		// recorded outcome; a staged copy would be dropped (aborted) or
+		// re-validated (committed), and the origin would wait forever.
+		// Found by the simulation sweep: profile offline, seed 175.
+		return false
+	}
 	if known, ok := s.outcomes[m.TxnVT]; ok && !known {
 		return true // already aborted: ignore late updates (paper §3.1)
 	}
@@ -305,7 +314,6 @@ func (s *Site) finishWrite(t *writeTask) {
 		s.resolveRC(m.TxnVT, true)
 		s.demoteGuessesFor(st.appliedObjects(), m.TxnVT)
 		s.trace(obs.EvCommit, m.TxnVT, m.Origin, "fastpath")
-		s.gcTxnObjects(st)
 		return
 	}
 	if !m.NeedsConfirm {

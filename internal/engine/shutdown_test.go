@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,4 +168,49 @@ func TestSubmitAfterStopSettlesHandle(t *testing.T) {
 	if res := s.JoinObject(ref, 2, ref.ID()).Wait(); !errors.Is(res.Err, ErrSiteStopped) {
 		t.Fatalf("JoinObject after Stop: got %+v, want ErrSiteStopped", res)
 	}
+}
+
+// keepingScheduler never runs and never releases a callback, the way the
+// Go runtime may keep a stopped timer, and its callback, in its timer
+// heap until the timer's deadline passes.
+type keepingScheduler struct {
+	mu  sync.Mutex
+	fns []func()
+}
+
+func (k *keepingScheduler) AfterFunc(_ time.Duration, fn func()) (cancel func()) {
+	k.mu.Lock()
+	k.fns = append(k.fns, fn)
+	k.mu.Unlock()
+	return func() {}
+}
+
+// TestStoppedSiteNotHeldByFloorTimer pins that a floor timer still
+// pending at Stop does not keep the site's state reachable: a stopped
+// timer's callback may outlive the site by up to floorFlushDelay, and a
+// process that builds sites one after another (tests, the benchmark's
+// rounds) would otherwise hold a dead site's tables for that long.
+func TestStoppedSiteNotHeldByFloorTimer(t *testing.T) {
+	sched := &keepingScheduler{}
+	s, net := startLoneSite(t, Options{Scheduler: sched})
+	if err := s.call(s.armFloorTimer); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	net.Close()
+	// The site holds pointers to itself, so the finalizer goes on its
+	// clock, which nothing but the site points to.
+	freed := make(chan struct{})
+	runtime.SetFinalizer(s.clock, func(*vtime.Clock) { close(freed) })
+	s = nil
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(sched)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a stopped site stays reachable from its pending floor timer's callback")
 }

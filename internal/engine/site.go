@@ -126,7 +126,10 @@ type Stats struct {
 	ProgrammedAborts uint64
 	// Retries counts automatic re-executions.
 	Retries uint64
-	// MessagesSent counts protocol messages sent by this site.
+	// MessagesSent counts protocol messages sent by this site. GC floor
+	// advertisements sent on their own (wire.GCFloor) are bookkeeping
+	// outside the paper's protocol and are counted on
+	// decaf_engine_gc_floor_msgs_total instead.
 	MessagesSent uint64
 	// UpdatesApplied counts remote updates applied at this site.
 	UpdatesApplied uint64
@@ -291,12 +294,31 @@ type Site struct {
 	shardJobs chan shardJob
 	workerWG  sync.WaitGroup
 
-	// gcFloor caches the combined decided/snapshot GC floor for the
-	// current loop batch (the quadratic-floors fix: one O(txns+objects)
-	// pass per batch instead of one per object per commit).
-	// Loop-confined.
-	gcFloor      vtime.VT
-	gcFloorValid bool
+	// GC floor state (gcfloor.go). Loop-confined.
+	//   - gcFloor caches the combined floor for the current batch.
+	//   - undecidedVTs and retireVTs are min-heaps holding every
+	//     transaction VT (see addTxn), popped lazily once the state is
+	//     decided, respectively retired.
+	//   - proxies lists the attached view proxies, the snapshot floor's
+	//     domain.
+	//   - graphPeers counts the local replication graphs each peer
+	//     appears in; floorPeers lists those peers in site order;
+	//     peerFloors holds the floor exchange with each of them.
+	//   - gcBacklog lists objects a GC pass left holding state; the floor
+	//     timer (floorTimerCancel while pending) re-runs them and sets
+	//     floorFlushDue for the epilogue's floor sends.
+	gcFloor          vtime.VT
+	gcFloorValid     bool
+	undecidedVTs     vtHeap
+	retireVTs        vtHeap
+	proxies          []*viewProxy
+	graphPeers       map[vtime.SiteID]int
+	floorPeers       []vtime.SiteID
+	floorPeersDirty  bool
+	peerFloors       map[vtime.SiteID]*peerFloor
+	gcBacklog        []*object
+	floorTimerCancel func()
+	floorFlushDue    bool
 
 	// obs is the site's observer (never nil; defaults to obs.Nop()).
 	obs *obs.Observer
@@ -357,6 +379,7 @@ type siteMetrics struct {
 	SerialWrites    *obs.Counter // remote writes on the serial path
 	CoalescedSends  *obs.Counter // messages sent piggybacked on a batch send
 	GCFloorReuse    *obs.Counter // GC floor served from the batch cache
+	GCFloorMsgs     *obs.Counter // standalone GC floor advertisements sent
 	NotifyEnqueued  *obs.Counter
 	NotifyDelivered *obs.Counter
 	NotifyDropped   *obs.Counter
@@ -365,6 +388,10 @@ type siteMetrics struct {
 	// a graph repair. Updated at the park and unpark sites (the backing
 	// slice is loop-confined, so a scrape-time GaugeFunc cannot read it).
 	ParkedRetries *obs.Gauge
+	// GCFloorLag gauges clock minus the combined GC floor, in Lamport
+	// ticks, as of the last floor computation: how far behind the clock
+	// this site's pruning runs, and so why its state grows.
+	GCFloorLag *obs.Gauge
 
 	// Latency histograms (wall seconds unless noted). Samples only
 	// arrive when the observer has timing enabled.
@@ -410,11 +437,13 @@ func newSiteMetrics(reg *obs.Registry) siteMetrics {
 		SerialWrites:    reg.Counter("decaf_engine_serial_writes_total", "remote writes handled serially on the event loop"),
 		CoalescedSends:  reg.Counter("decaf_engine_coalesced_sends_total", "outbound messages piggybacked on a coalesced batch send"),
 		GCFloorReuse:    reg.Counter("decaf_engine_gc_floor_reuse_total", "GC floor computations served from the per-batch cache"),
+		GCFloorMsgs:     reg.Counter("decaf_engine_gc_floor_msgs_total", "standalone GC floor advertisements sent (not in decaf_messages_sent_total)"),
 		NotifyEnqueued:  reg.Counter("decaf_notify_enqueued_total", "user callbacks accepted by the notifier queue"),
 		NotifyDelivered: reg.Counter("decaf_notify_delivered_total", "user callbacks delivered by the notifier goroutine"),
 		NotifyDropped:   reg.Counter("decaf_notify_dropped_total", "user callbacks dropped by the notifier overflow policy"),
 
 		ParkedRetries: reg.Gauge("decaf_engine_parked_retries", "transaction retries parked behind a graph repair"),
+		GCFloorLag:    reg.Gauge("decaf_engine_gc_floor_lag", "Lamport clock minus the combined GC floor at the last floor computation"),
 
 		CommitLatency:       reg.Histogram("decaf_txn_commit_latency_seconds", "submit-to-commit wall latency of locally originated transactions", obs.WallBuckets),
 		CommitLatencyVT:     reg.Histogram("decaf_txn_commit_latency_vt_ticks", "execute-to-commit Lamport-clock distance of locally originated transactions", obs.VTBuckets),
@@ -483,6 +512,8 @@ func NewSite(ep transport.Endpoint, opts Options) *Site {
 		parkedFailures: map[vtime.SiteID]func(){},
 		outbox:         map[vtime.SiteID][]wire.Message{},
 		stagedVTs:      map[vtime.VT]bool{},
+		peerFloors:     map[vtime.SiteID]*peerFloor{},
+		graphPeers:     map[vtime.SiteID]int{},
 		workers:        workers,
 		obs:            observer,
 		stats:          newSiteMetrics(observer.Metrics()),
@@ -571,6 +602,7 @@ func (s *Site) collectDebugState() map[string]any {
 	for _, site := range sortedSites(s.failed) {
 		failedSites = append(failedSites, site.String())
 	}
+	floor, peerFloors := s.floorDebugState()
 	return map[string]any{
 		"site":                 s.id.String(),
 		"clock":                s.clock.Now().String(),
@@ -578,6 +610,9 @@ func (s *Site) collectDebugState() map[string]any {
 		"txns_by_status":       byStatus,
 		"reservations":         reservations,
 		"outcomes_retained":    len(s.outcomes),
+		"gc_floor":             floor.String(),
+		"gc_floor_lag":         s.clock.Now().Time - floor.Time,
+		"peer_floors":          peerFloors,
 		"rc_waiters":           len(s.rcWaiters),
 		"confirm_waiters":      len(s.confirmWaiters),
 		"parked_retries":       len(s.parked),
@@ -667,12 +702,13 @@ func (s *Site) drainCalls() {
 func (s *Site) Quiescent() bool {
 	quiet := false
 	if err := s.call(func() {
-		// The outbox/staged checks matter when this probe is drained
-		// into the middle of an active batch: sends staged by earlier
-		// stimuli of that batch only reach the transport at batch end,
-		// so the site is not quiescent until they flush.
+		// The outbox/staged/floor checks matter when this probe is
+		// drained into the middle of an active batch: sends staged by
+		// earlier stimuli of that batch, and the floor advertisement or
+		// floor timer the epilogue adds, only happen at batch end, so
+		// the site is not quiescent until they have.
 		quiet = len(s.calls) == 0 && len(s.ep.Events()) == 0 &&
-			len(s.outbox) == 0 && len(s.staged) == 0
+			len(s.outbox) == 0 && len(s.staged) == 0 && !s.floorWorkPending()
 	}); err != nil {
 		return s.notifier.idle()
 	}
@@ -754,6 +790,7 @@ func (s *Site) Stats() Stats {
 func (s *Site) loop() {
 	defer close(s.done)
 	defer s.stopWorkers()
+	defer s.stopFloorTimer()
 	events := s.ep.Events()
 	for {
 		select {
@@ -815,6 +852,7 @@ func (s *Site) beginBatch() {
 // outbox.
 func (s *Site) endBatch(n int) {
 	s.flushWrites()
+	s.advertiseFloor()
 	s.flushOutbox()
 	if s.wal != nil {
 		// Under SyncBatch the WAL amortizes one fsync per event batch;
@@ -1044,7 +1082,9 @@ func (s *Site) flushOutbox() {
 				s.log.Debug("send failed", "to", to.String(), "batch", len(msgs), "err", err)
 				continue
 			}
-			s.stats.MessagesSent.Add(uint64(len(msgs)))
+			for _, msg := range msgs {
+				s.countSent(msg)
+			}
 			if len(msgs) > 1 {
 				s.stats.CoalescedSends.Add(uint64(len(msgs) - 1))
 			}
@@ -1055,20 +1095,49 @@ func (s *Site) flushOutbox() {
 				s.log.Debug("send failed", "to", to.String(), "kind", msg.Kind(), "err", err)
 				continue
 			}
-			s.stats.MessagesSent.Add(1)
+			s.countSent(msg)
 		}
 	}
 	s.outboxOrder = s.outboxOrder[:0]
+}
+
+// countSent bumps the sent-message counter that msg belongs on.
+func (s *Site) countSent(msg wire.Message) {
+	if _, ok := msg.(wire.GCFloor); ok {
+		s.stats.GCFloorMsgs.Inc()
+		return
+	}
+	s.stats.MessagesSent.Inc()
 }
 
 // handleEvent dispatches one transport event inside the loop.
 func (s *Site) handleEvent(ev transport.Event) {
 	switch ev.Kind {
 	case transport.EventMessage:
-		s.clock.Observe(ev.SentAt)
+		if _, floorOnly := ev.Msg.(wire.GCFloor); !floorOnly {
+			// A floor advertisement is bookkeeping, not a causal event:
+			// observing its stamp would let a site's idle floor traffic
+			// drag its peers' clocks and so the VTs they give out.
+			s.clock.Observe(ev.SentAt)
+		}
 		s.handleMessage(ev.From, ev.Msg)
+		// Floors describe the sender, so only directly delivered
+		// messages carry them (never relayed or logged copies).
+		switch m := ev.Msg.(type) {
+		case wire.Outcome:
+			if !m.Floor.IsZero() {
+				s.noteFloor(ev.From, m.Floor)
+			}
+		case wire.Write:
+			if !m.Floor.IsZero() {
+				s.noteFloor(ev.From, m.Floor)
+			}
+		case wire.GCFloor:
+			s.noteFloor(ev.From, m.Floor)
+		}
 	case transport.EventSiteFailed:
 		s.flushWrites()
+		s.suspendPeerFloor(ev.Failed)
 		if s.disconnected[ev.Failed] {
 			// Offline mode (DESIGN.md §13): the peer is known to be
 			// disconnected, not failed. Park the failover instead of
@@ -1086,8 +1155,12 @@ func (s *Site) handleEvent(ev transport.Event) {
 		s.handleSiteRecovered(ev.Failed)
 		if s.wal != nil {
 			// Pull anything the reconnecting peer committed while we
-			// were apart; its own reconnect logic pulls our side.
+			// were apart; its own reconnect logic pulls our side. Its
+			// floor counts again once that session completes.
+			s.suspendPeerFloor(ev.Failed)
 			s.startSync(ev.Failed)
+		} else {
+			s.resumePeerFloor(ev.Failed)
 		}
 	}
 }
@@ -1135,6 +1208,9 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 	case wire.Outcome:
 		s.walLogOutcome(m)
 		s.handleOutcome(m)
+	case wire.GCFloor:
+		// Recorded by handleEvent, which knows the message came straight
+		// from its sender.
 	case wire.SyncRequest:
 		s.handleSyncRequest(from, m)
 	case wire.SyncUpdates:
@@ -1176,81 +1252,4 @@ func (s *Site) handleMessage(from vtime.SiteID, msg wire.Message) {
 func (s *Site) newReqID() uint64 {
 	s.nextReq++
 	return s.nextReq
-}
-
-// decidedFloor returns the largest VT below which every transaction known
-// at this site is decided; histories and reservations may be pruned below
-// it (subject to outstanding snapshot floors).
-func (s *Site) decidedFloor() vtime.VT {
-	floor := s.clock.Now()
-	for vt, st := range s.txns {
-		if st.status == txnApplied || st.status == txnWaiting || st.status == txnExecuting {
-			if vt.LessEq(floor) {
-				floor = vtime.JustBelow(vt)
-			}
-		}
-	}
-	return floor
-}
-
-// snapshotFloor returns the minimum VT any outstanding view snapshot may
-// still read, across all proxies at this site.
-func (s *Site) snapshotFloor() vtime.VT {
-	floor := s.clock.Now()
-	for _, o := range s.objects {
-		for _, p := range o.proxies {
-			if f, ok := p.minSnapshotVT(); ok && f.Less(floor) {
-				floor = f
-			}
-		}
-	}
-	return floor
-}
-
-// combinedGCFloor returns the batch-cached GC floor, computing it on
-// first use within the batch. Committing a transaction only raises the
-// true floor, so a stale-low cache merely defers pruning to the next
-// batch; events that can lower the floor (new view snapshots) call
-// invalidateGCFloor.
-func (s *Site) combinedGCFloor() vtime.VT {
-	if s.gcFloorValid {
-		s.stats.GCFloorReuse.Inc()
-		return s.gcFloor
-	}
-	floor := s.decidedFloor()
-	if sf := s.snapshotFloor(); sf.Less(floor) {
-		floor = sf
-	}
-	s.gcFloor = floor
-	s.gcFloorValid = true
-	// Retire decided transaction states below the floor. They are kept
-	// only so late/duplicate messages can find them, and the outcomes
-	// map already answers those; without this sweep s.txns grows with
-	// every transaction ever seen and decidedFloor's scan turns the
-	// commit hot path quadratic in transaction count.
-	for _, vt := range sortedVTs(s.txns) {
-		st := s.txns[vt]
-		if (st.status == txnCommitted || st.status == txnAborted) && vt.LessEq(floor) {
-			delete(s.txns, vt)
-		}
-	}
-	return floor
-}
-
-// invalidateGCFloor drops the batch floor cache. Called where the floor
-// can move down: snapshot creation.
-func (s *Site) invalidateGCFloor() {
-	s.gcFloorValid = false
-}
-
-// maybeGC prunes the given object's histories and reservations.
-func (s *Site) maybeGC(o *object) {
-	if s.opts.DisableGC {
-		return
-	}
-	floor := s.combinedGCFloor()
-	o.hist.GC(floor)
-	o.graphHist.GC(floor)
-	o.res.GCBelow(floor)
-	o.graphRes.GCBelow(floor)
 }

@@ -426,7 +426,7 @@ func (s *Site) execute(txn *Txn, h *Handle, retries int) {
 		involved:     map[vtime.SiteID]bool{s.id: true},
 		retries:      retries,
 	}
-	s.txns[vt] = st
+	s.addTxn(st)
 
 	if s.obs.TraceEnabled() {
 		if retries == 0 {
@@ -950,6 +950,7 @@ func (s *Site) abortTxn(st *txnState, reason string) {
 	s.outcomes[st.vt] = false
 	s.walLocalAbort(st)
 	st.sentMsgs = nil
+	touched := st.appliedObjects()
 	s.undoApplied(st)
 	s.releaseReservations(st)
 	for _, site := range sortedSites(st.involved) {
@@ -959,6 +960,7 @@ func (s *Site) abortTxn(st *txnState, reason string) {
 	}
 	s.resolveRC(st.vt, false)
 	s.onLocalAbort(st.appliedObjects())
+	s.gcObjects(touched)
 	s.stats.ConflictAborts.Add(1)
 	s.trace(obs.EvAbort, st.vt, 0, reason)
 

@@ -141,6 +141,12 @@ func (h *ViewHandle) Detach() {
 				}
 			}
 		}
+		for i, p := range h.s.proxies {
+			if p == h.p {
+				h.s.proxies = append(h.s.proxies[:i], h.s.proxies[i+1:]...)
+				break
+			}
+		}
 	})
 }
 
@@ -164,6 +170,9 @@ func (s *Site) AttachView(refs []ObjRef, mode ViewMode, fns ViewFuncs) (*ViewHan
 			}
 			p.attached = append(p.attached, r.o)
 			r.o.proxies = append(r.o.proxies, p)
+		}
+		if len(p.attached) > 0 {
+			s.proxies = append(s.proxies, p)
 		}
 		switch mode {
 		case Pessimistic:
@@ -327,7 +336,10 @@ func (s *Site) scheduleOptimistic(objs []*object) {
 
 // onLocalCommit reacts to a transaction's updates becoming committed at
 // this site: pessimistic snapshots are created, optimistic transient
-// states re-examined.
+// states re-examined, and the objects garbage-collected — every path
+// that commits versions here passes through it (paper §3: "histories
+// are garbage-collected as transactions commit"). GC runs last, so the
+// snapshots just created hold the floor.
 func (s *Site) onLocalCommit(objs []*object, vt vtime.VT) {
 	for _, p := range proxiesOf(objs, Pessimistic) {
 		p.onCommitted(vt)
@@ -335,6 +347,7 @@ func (s *Site) onLocalCommit(objs []*object, vt vtime.VT) {
 	for _, p := range proxiesOf(objs, Pessimistic) {
 		p.retryPending()
 	}
+	s.gcObjects(objs)
 }
 
 // onLocalAbort reacts to a rollback: optimistic proxies rerun their

@@ -45,11 +45,13 @@ func (s *Site) walAppendMsg(vt vtime.VT, msg wire.Message) {
 	}
 }
 
-// walLogWrite logs a received Write before it is staged or applied.
+// walLogWrite logs a received Write before it is staged or applied,
+// without its piggybacked GC floor (see walLogOutcome).
 func (s *Site) walLogWrite(m wire.Write) {
 	if s.wal == nil {
 		return
 	}
+	m.Floor = vtime.Zero
 	s.walAppendMsg(m.TxnVT, m)
 }
 
@@ -72,6 +74,9 @@ func (s *Site) walLogOutcome(m wire.Outcome) {
 	if known, ok := s.outcomes[m.TxnVT]; ok && known == m.Committed {
 		return
 	}
+	// A piggybacked GC floor describes the sender at send time; a logged
+	// (and later replayed or relayed) copy must not carry it.
+	m.Floor = vtime.Zero
 	s.walAppendMsg(m.TxnVT, m)
 }
 
@@ -408,6 +413,9 @@ func (s *Site) handleSyncUpdates(from vtime.SiteID, m wire.SyncUpdates) {
 			s.syncFloors[f.Site] = f.Time
 		}
 	}
+	// The transfer closed any gap left by messages lost while apart, so
+	// the peer's GC floor advertisements count again.
+	s.resumePeerFloor(m.From)
 	if m.WantReply {
 		s.send(m.From, wire.SyncUpdates{
 			From:    s.id,

@@ -20,7 +20,7 @@ type Reservation struct {
 // for one object (or for its replication graph). The zero value is an
 // empty table ready to use. Not safe for concurrent use.
 type Reservations struct {
-	rs []Reservation // sorted by (Interval.Hi, Owner) for GC convenience
+	rs []Reservation // sorted by (Interval.Hi, Owner): binary-searched lookups, prefix GC
 }
 
 // Len returns the number of reservations held.
@@ -44,13 +44,22 @@ func (r *Reservations) Reserve(iv vtime.Interval, owner vtime.VT) {
 	r.rs[i] = Reservation{Interval: iv, Owner: owner}
 }
 
+// firstCovering returns the index of the first reservation whose Hi is
+// at or above vt. The table is sorted by Hi and intervals are (Lo, Hi],
+// so no reservation before that index can contain vt.
+func (r *Reservations) firstCovering(vt vtime.VT) int {
+	return sort.Search(len(r.rs), func(i int) bool {
+		return vt.LessEq(r.rs[i].Interval.Hi)
+	})
+}
+
 // Conflicts reports whether a write at vt by the transaction `writer`
 // falls inside a reservation made by a different owner — the NC ("no
 // conflict") guess check. A transaction never conflicts with its own
 // reservations.
 func (r *Reservations) Conflicts(vt vtime.VT, writer vtime.VT) bool {
-	for _, res := range r.rs {
-		if res.Owner != writer && res.Interval.Contains(vt) {
+	for _, res := range r.rs[r.firstCovering(vt):] {
+		if res.Owner != writer && res.Interval.Lo.Less(vt) {
 			return true
 		}
 	}
@@ -63,8 +72,8 @@ func (r *Reservations) Conflicts(vt vtime.VT, writer vtime.VT) bool {
 // be demoted to re-validation.
 func (r *Reservations) Intersecting(vt vtime.VT, exclude vtime.VT) []vtime.VT {
 	var owners []vtime.VT
-	for _, res := range r.rs {
-		if res.Owner != exclude && res.Interval.Contains(vt) {
+	for _, res := range r.rs[r.firstCovering(vt):] {
+		if res.Owner != exclude && res.Interval.Lo.Less(vt) {
 			owners = append(owners, res.Owner)
 		}
 	}
@@ -93,20 +102,15 @@ func (r *Reservations) Release(owner vtime.VT) int {
 // every transaction at or below floor is decided. It returns the number
 // discarded.
 func (r *Reservations) GCBelow(floor vtime.VT) int {
-	if len(r.rs) == 0 {
+	// The table is sorted by Hi, so the collectable entries are a prefix.
+	i := sort.Search(len(r.rs), func(i int) bool {
+		return floor.Less(r.rs[i].Interval.Hi)
+	})
+	if i == 0 {
 		return 0
 	}
-	kept := r.rs[:0]
-	removed := 0
-	for _, res := range r.rs {
-		if res.Interval.Hi.LessEq(floor) {
-			removed++
-			continue
-		}
-		kept = append(kept, res)
-	}
-	r.rs = kept
-	return removed
+	r.rs = r.rs[:copy(r.rs, r.rs[i:])]
+	return i
 }
 
 // All returns a copy of the reservations, for inspection and tests.

@@ -1,6 +1,8 @@
 package history
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"decaf/internal/vtime"
@@ -155,6 +157,122 @@ func TestReserveKeepsSortedOrder(t *testing.T) {
 		}
 		if cur.Interval.Hi == prev.Interval.Hi && cur.Owner.Less(prev.Owner) {
 			t.Fatalf("same-Hi reservations out of Owner order at %d: %v after %v", i, cur, prev)
+		}
+	}
+}
+
+// linearConflicts and linearIntersecting are the reference answers: a
+// scan of every reservation, independent of the table's sort order.
+func linearConflicts(all []Reservation, vt, writer vtime.VT) bool {
+	for _, res := range all {
+		if res.Owner != writer && res.Interval.Contains(vt) {
+			return true
+		}
+	}
+	return false
+}
+
+func linearIntersecting(all []Reservation, vt, exclude vtime.VT) map[vtime.VT]int {
+	owners := map[vtime.VT]int{}
+	for _, res := range all {
+		if res.Owner != exclude && res.Interval.Contains(vt) {
+			owners[res.Owner]++
+		}
+	}
+	return owners
+}
+
+// TestReservationsMatchLinearScan drives random tables through Reserve,
+// Release and GCBelow and checks every binary-searched lookup against a
+// linear scan. Times are drawn from a narrow range over few sites, so
+// equal-Hi ties, empty and inverted intervals, shared endpoints and
+// owner exclusion all occur often.
+func TestReservationsMatchLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randVT := func() vtime.VT {
+		return rvt(uint64(rng.Intn(24)), vtime.SiteID(1+rng.Intn(3)))
+	}
+	for round := 0; round < 200; round++ {
+		var r Reservations
+		var owners []vtime.VT
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				owner := randVT()
+				if len(owners) > 0 && rng.Intn(3) == 0 {
+					owner = owners[rng.Intn(len(owners))] // several intervals per owner
+				}
+				owners = append(owners, owner)
+				r.Reserve(riv(randVT(), randVT()), owner)
+			case op < 8:
+				if len(owners) > 0 {
+					r.Release(owners[rng.Intn(len(owners))])
+				}
+			default:
+				floor := randVT()
+				r.GCBelow(floor)
+				for _, res := range r.All() {
+					if res.Interval.Hi.LessEq(floor) {
+						t.Fatalf("round %d: %v survived GCBelow(%v)", round, res, floor)
+					}
+				}
+			}
+			all := r.All()
+			for q := 0; q < 8; q++ {
+				vt, who := randVT(), randVT()
+				if q%2 == 0 && len(owners) > 0 {
+					who = owners[rng.Intn(len(owners))]
+				}
+				if got, want := r.Conflicts(vt, who), linearConflicts(all, vt, who); got != want {
+					t.Fatalf("round %d step %d: Conflicts(%v, %v) = %v, linear scan says %v; table %v",
+						round, step, vt, who, got, want, all)
+				}
+				want := linearIntersecting(all, vt, who)
+				got := map[vtime.VT]int{}
+				for _, o := range r.Intersecting(vt, who) {
+					got[o]++
+				}
+				if len(got) != len(want) {
+					t.Fatalf("round %d step %d: Intersecting(%v, %v) = %v, linear scan says %v",
+						round, step, vt, who, got, want)
+				}
+				for o, n := range want {
+					if got[o] != n {
+						t.Fatalf("round %d step %d: Intersecting(%v, %v) = %v, linear scan says %v",
+							round, step, vt, who, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// conflictSink keeps the benchmarked call from being optimized away.
+var conflictSink bool
+
+// BenchmarkReservationsConflicts measures the NC check against tables of
+// growing size. Each reservation is a read-modify-write interval
+// (t-1, t]; the probe is a write just above the newest one, the common
+// case at a primary, and one in the middle of the table.
+func BenchmarkReservationsConflicts(b *testing.B) {
+	for _, n := range []int{10, 1000, 50000} {
+		var r Reservations
+		for i := 1; i <= n; i++ {
+			r.Reserve(riv(rvt(uint64(2*i-1), 1), rvt(uint64(2*i), 1)), rvt(uint64(2*i), 1))
+		}
+		writer := rvt(uint64(4*n), 2)
+		for _, probe := range []struct {
+			name string
+			vt   vtime.VT
+		}{
+			{"top", rvt(uint64(2*n+1), 2)},
+			{"middle", rvt(uint64(n), 2)},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, probe.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					conflictSink = r.Conflicts(probe.vt, writer)
+				}
+			})
 		}
 	}
 }

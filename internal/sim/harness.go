@@ -29,6 +29,15 @@ const settleTimeout = 10 * time.Second
 // storm that never drains fails loudly instead of hanging the sweep.
 const maxSteps = 200_000
 
+// Bounds of the quiescent bounded-state invariant (check, item 6): the
+// largest per-object history and reservation table, and the transaction
+// table, a surviving site may hold once a run has settled.
+const (
+	maxQuiescentVersions     = 8
+	maxQuiescentReservations = 8
+	maxQuiescentTxns         = 8
+)
+
 // Result is the outcome of one simulated run.
 type Result struct {
 	Profile string
@@ -698,6 +707,26 @@ func (w *world) check(refs map[string][]engine.ObjRef) error {
 		}
 		if parked == 0 {
 			problems = append(problems, "offline: no failover was parked (suspicion never reached the engine)")
+		}
+	}
+
+	// 6. Bounded state (DESIGN.md §15): at quiescence every surviving
+	// site has garbage-collected its histories, reservation tables and
+	// transaction table down to a bound that does not grow with the run.
+	// What remains is the tail the last floor exchange had not yet
+	// covered.
+	for i := 1; i <= w.profile.Sites; i++ {
+		id := vtime.SiteID(i)
+		if !w.alive(id) {
+			continue
+		}
+		sz := w.sites[id].StateSizes()
+		if sz.MaxVersions > maxQuiescentVersions || sz.MaxReservations > maxQuiescentReservations ||
+			sz.Txns > maxQuiescentTxns {
+			problems = append(problems, fmt.Sprintf(
+				"S%d: state not collected at quiescence: %d versions, %d reservations, %d txns (bounds %d, %d, %d)",
+				i, sz.MaxVersions, sz.MaxReservations, sz.Txns,
+				maxQuiescentVersions, maxQuiescentReservations, maxQuiescentTxns))
 		}
 	}
 

@@ -37,6 +37,16 @@ func TestSimReplay(t *testing.T) {
 		// Regressions: seeds that found real engine bugs (DESIGN.md §12).
 		{"fastpath-faulty", 93}, // drainPending re-entrancy stack overflow
 		{"nofast", 107},         // duplicated Write re-folded into GC merge base
+		// A resubmitted confirm request of an already decided
+		// transaction took the sharded path, which dropped it: the
+		// origin, whose decision was lost in the partition, waited
+		// forever (a transaction undecided after quiescence).
+		{"offline", 27},
+		{"offline", 175},
+		// A drained list insert whose After element was still missing
+		// was dropped instead of re-queued: the reconnected site lost a
+		// committed element (replicas diverged).
+		{"offline", 1029},
 	}
 	for _, tc := range cases {
 		tc := tc

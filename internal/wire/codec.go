@@ -64,12 +64,34 @@ const (
 	tagRepairAccept
 	tagRepairAccepted
 	tagRepairLearn
+	tagGCFloor
 
 	// tagGobMessage escapes to a gob-encoded message: a length-prefixed
 	// gob stream. Used only for message types the hand codec does not
 	// know, so protocol extensions keep working before they get a layout.
 	tagGobMessage byte = 0xFF
 )
+
+// Flag bits of the byte that carries Outcome.Committed and
+// Write.NeedsConfirm: bit 0 is that bool, bit 1 says a piggybacked GC
+// floor VT follows at the end of the message. Without a floor the byte
+// reads as the plain bool it replaced.
+const (
+	flagBool byte = 1 << iota
+	flagFloor
+)
+
+// appendFlags appends the flags byte for bool v and floor f.
+func appendFlags(b []byte, v bool, f vtime.VT) []byte {
+	flags := byte(0)
+	if v {
+		flags |= flagBool
+	}
+	if !f.IsZero() {
+		flags |= flagFloor
+	}
+	return append(b, flags)
+}
 
 // Operation tags.
 const (
@@ -398,12 +420,15 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		for _, c := range m.Checks {
 			b = appendCheck(b, c)
 		}
-		b = appendBool(b, m.NeedsConfirm)
+		b = appendFlags(b, m.NeedsConfirm, m.Floor)
 		if m.Delegate != nil {
 			b = appendBool(b, true)
 			b = appendSites(b, m.Delegate.Sites)
 		} else {
 			b = appendBool(b, false)
+		}
+		if !m.Floor.IsZero() {
+			b = appendVT(b, m.Floor)
 		}
 		return b, nil
 	case FastWrite:
@@ -455,7 +480,14 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 	case Outcome:
 		b = append(b, tagOutcome)
 		b = appendVT(b, m.TxnVT)
-		return appendBool(b, m.Committed), nil
+		b = appendFlags(b, m.Committed, m.Floor)
+		if !m.Floor.IsZero() {
+			b = appendVT(b, m.Floor)
+		}
+		return b, nil
+	case GCFloor:
+		b = append(b, tagGCFloor)
+		return appendVT(b, m.Floor), nil
 	case JoinRequest:
 		b = append(b, tagJoinRequest)
 		b = appendVT(b, m.TxnVT)
@@ -669,6 +701,16 @@ func (r *reader) byte_() byte {
 }
 
 func (r *reader) bool_() bool { return r.byte_() != 0 }
+
+// flags reads a flags byte (see flagBool): the bool it carries and
+// whether a GC floor follows.
+func (r *reader) flags() (v, hasFloor bool) {
+	f := r.byte_()
+	if f&^(flagBool|flagFloor) != 0 {
+		r.fail(fmt.Errorf("wire: bad flags byte %#x", f))
+	}
+	return f&flagBool != 0, f&flagFloor != 0
+}
 
 func (r *reader) bytes_(n int) []byte {
 	if r.err != nil {
@@ -1006,9 +1048,13 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			}
 		}
 		w.Checks = r.checks()
-		w.NeedsConfirm = r.bool_()
+		var hasFloor bool
+		w.NeedsConfirm, hasFloor = r.flags()
 		if r.bool_() {
 			w.Delegate = &Delegation{Sites: r.sites()}
+		}
+		if hasFloor {
+			w.Floor = r.vt()
 		}
 		m = w
 	case tagFastWrite:
@@ -1035,7 +1081,15 @@ func DecodeMessage(b []byte) (Message, int, error) {
 			OK: r.bool_(), Transient: r.bool_(), Reason: r.string_(),
 		}
 	case tagOutcome:
-		m = Outcome{TxnVT: r.vt(), Committed: r.bool_()}
+		o := Outcome{TxnVT: r.vt()}
+		var hasFloor bool
+		o.Committed, hasFloor = r.flags()
+		if hasFloor {
+			o.Floor = r.vt()
+		}
+		m = o
+	case tagGCFloor:
+		m = GCFloor{Floor: r.vt()}
 	case tagJoinRequest:
 		m = JoinRequest{
 			TxnVT: r.vt(), Origin: r.site(), ReqID: r.uvarint(),

@@ -247,7 +247,7 @@ func (g *gen) update() Update {
 
 // message produces a random instance of the i-th message type.
 func (g *gen) message(i int) Message {
-	switch i % 26 {
+	switch i % 27 {
 	case 0:
 		w := Write{TxnVT: g.vt(), Origin: g.site(), NeedsConfirm: g.rng.Intn(2) == 0, Checks: g.checks()}
 		for j := 0; j < 1+g.rng.Intn(4); j++ {
@@ -256,6 +256,9 @@ func (g *gen) message(i int) Message {
 		if g.rng.Intn(2) == 0 {
 			w.Delegate = &Delegation{Sites: g.sites()}
 		}
+		if g.rng.Intn(2) == 0 {
+			w.Floor = g.vt()
+		}
 		return w
 	case 1:
 		return ConfirmRead{TxnVT: g.vt(), Origin: g.site(), ReqID: g.rng.Uint64(), Checks: g.checks()}
@@ -263,7 +266,11 @@ func (g *gen) message(i int) Message {
 		return Confirm{TxnVT: g.vt(), ReqID: g.rng.Uint64(), From: g.site(),
 			OK: g.rng.Intn(2) == 0, Transient: g.rng.Intn(2) == 0, Reason: g.str()}
 	case 3:
-		return Outcome{TxnVT: g.vt(), Committed: g.rng.Intn(2) == 0}
+		o := Outcome{TxnVT: g.vt(), Committed: g.rng.Intn(2) == 0}
+		if g.rng.Intn(2) == 0 {
+			o.Floor = g.vt()
+		}
+		return o
 	case 4:
 		return JoinRequest{TxnVT: g.vt(), Origin: g.site(), ReqID: g.rng.Uint64(),
 			AObj: g.obj(), BObj: g.obj(), GraphA: g.graph()}
@@ -322,6 +329,8 @@ func (g *gen) message(i int) Message {
 	case 24:
 		return RepairLearn{FailedSite: g.site(), From: g.site(),
 			Ballot: g.ballot(), Value: g.repairValue()}
+	case 25:
+		return GCFloor{Floor: g.vt()}
 	default:
 		w := FastWrite{TxnVT: g.vt(), Origin: g.site()}
 		for j := 0; j < 1+g.rng.Intn(4); j++ {
@@ -418,6 +427,10 @@ func TestBinaryCodecFixedMessages(t *testing.T) {
 		ConfirmRead{TxnVT: vt, Origin: 2, ReqID: 9, Checks: []ReadCheck{{Target: target, ReadVT: vt}}},
 		Confirm{TxnVT: vt, ReqID: 9, From: 3, OK: false, Transient: true, Reason: "pending straggler"},
 		Outcome{TxnVT: vt, Committed: true},
+		Outcome{TxnVT: vt, Committed: false, Floor: vtime.VT{Time: 40, Site: 2}},
+		GCFloor{Floor: vtime.VT{Time: 41, Site: 3}},
+		Write{TxnVT: vt, Origin: 2, Updates: []Update{{Target: target, Op: OpSet{Value: int64(1)}}},
+			NeedsConfirm: true, Floor: vtime.VT{Time: 42, Site: 2}},
 		JoinRequest{TxnVT: vt, Origin: 2, ReqID: 1, AObj: target, BObj: ids.ObjectID{Site: 1, Seq: 2}, GraphA: sampleGraph()},
 		JoinReply{TxnVT: vt, ReqID: 1, From: 1, OK: true, BValue: "hello", GraphB: sampleGraph(), PendingGraphTxn: vt},
 		JoinReply{TxnVT: vt, ReqID: 2, From: 1, OK: true, BValue: CompositeSnapshot{

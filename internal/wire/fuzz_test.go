@@ -101,6 +101,10 @@ func seedMessages() []Message {
 		RepairAccepted{FailedSite: 1, From: 4, Ballot: consensus.Ballot{Round: 1, Site: 2}, OK: true},
 		RepairLearn{FailedSite: 1, From: 2, Ballot: consensus.Ballot{Round: 1, Site: 2},
 			Value: RepairValue{FailedSite: 1, GraphVT: fvt(20, 2), Survivors: []vtime.SiteID{2, 3, 4}, Commit: []vtime.VT{fvt(18, 1)}}},
+		Outcome{TxnVT: fvt(21, 2), Committed: true, Floor: fvt(19, 2)},
+		GCFloor{Floor: fvt(22, 3)},
+		Write{TxnVT: fvt(23, 2), Origin: 2, Updates: []Update{{Target: fobj(1, 1), Op: OpSet{Value: int64(7)}}},
+			NeedsConfirm: true, Delegate: &Delegation{Sites: []vtime.SiteID{3}}, Floor: fvt(21, 2)},
 	}
 }
 

@@ -347,6 +347,9 @@ type Write struct {
 	// Delegate, when non-nil, transfers commit responsibility to the
 	// destination (which must be the single remote primary site).
 	Delegate *Delegation
+	// Floor, when non-zero, is the sender's piggybacked GC floor (see
+	// GCFloor), as on Outcome.
+	Floor vtime.VT
 }
 
 func (Write) isMessage() {}
@@ -451,6 +454,12 @@ func (Confirm) Kind() string { return "CONFIRM" }
 type Outcome struct {
 	TxnVT     vtime.VT
 	Committed bool
+	// Floor, when non-zero, is the sender's advertised GC floor (see
+	// GCFloor), piggybacked on the last message of a batch to the peer.
+	// It describes the sender, so it is meaningful only on a message
+	// delivered directly by the transport, never on a relayed or logged
+	// copy. Write carries the same field.
+	Floor vtime.VT
 }
 
 func (Outcome) isMessage() {}
@@ -462,6 +471,22 @@ func (o Outcome) Kind() string {
 	}
 	return "ABORT"
 }
+
+// GCFloor advertises the sender's GC floor to one peer: no write or read
+// check the sender will ever send has a virtual time at or below Floor,
+// and every one it sent before (per-pair FIFO) is already ahead of this
+// message. The receiver may then prune state below Floor as far as the
+// sender is concerned (DESIGN.md §15). It travels alone only when no
+// batch to that peer ended with an Outcome or Write to carry it for a
+// while.
+type GCFloor struct {
+	Floor vtime.VT
+}
+
+func (GCFloor) isMessage() {}
+
+// Kind implements Message.
+func (GCFloor) Kind() string { return "GC-FLOOR" }
 
 // ---------------------------------------------------------------------------
 // Collaboration establishment (paper §3.3).
@@ -753,6 +778,7 @@ func RegisterGob() {
 	gob.Register(ConfirmRead{})
 	gob.Register(Confirm{})
 	gob.Register(Outcome{})
+	gob.Register(GCFloor{})
 	gob.Register(JoinRequest{})
 	gob.Register(JoinReply{})
 	gob.Register(CommitQuery{})
